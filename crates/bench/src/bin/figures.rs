@@ -12,13 +12,20 @@
 //! tasks averaged per cell (paper: 50) and `--samples` the per-task
 //! sampling budget (paper: 5000); defaults are scaled down so `all`
 //! completes in minutes on a laptop.
+//!
+//! Collision work is counted on the paper's per-pose schedule
+//! (`moped_hw::engine::plan_per_pose`, `PerPose`), so every ratio is
+//! derived from §III-A's counts. The one exception is the wall-clock
+//! Fig 16 (bottom) block, which times the shipped `plan_variant` with its
+//! swept broad phase.
 
 use std::time::Instant;
 
-use moped_collision::{NaiveAabbChecker, SecondStage, TwoStageChecker};
+use moped_collision::{NaiveAabbChecker, PerPose, SecondStage, TwoStageChecker};
 use moped_core::{plan_variant, KdIndex, PlanResult, PlannerParams, RrtStar, SimbrIndex, Variant};
 use moped_env::{Scenario, ScenarioParams, OBSTACLE_COUNTS};
 use moped_hw::design::DesignPoint;
+use moped_hw::engine::plan_per_pose;
 use moped_hw::{perf, pipeline};
 use moped_robot::Robot;
 
@@ -125,7 +132,7 @@ fn fig3(opts: &Opts) {
         let mut other = 0.0;
         for &seed in &seeds {
             let s = Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(16), seed);
-            let r = plan_variant(&s, Variant::V0Baseline, &params(opts, seed, false));
+            let r = plan_per_pose(&s, Variant::V0Baseline, &params(opts, seed, false));
             let (c, n, o) = r.stats.breakdown();
             cc += c;
             ns += n;
@@ -164,8 +171,16 @@ fn fig5(opts: &Opts) {
                 seed,
                 ..PlannerParams::default()
             };
-            let exact = TwoStageChecker::new(scenario.obstacles.clone(), 4, SecondStage::ObbExact);
-            let loose = TwoStageChecker::new(scenario.obstacles.clone(), 4, SecondStage::AabbOnly);
+            let exact = PerPose(TwoStageChecker::new(
+                scenario.obstacles.clone(),
+                4,
+                SecondStage::ObbExact,
+            ));
+            let loose = PerPose(TwoStageChecker::new(
+                scenario.obstacles.clone(),
+                4,
+                SecondStage::AabbOnly,
+            ));
             let r1 = RrtStar::new(&scenario, &exact, SimbrIndex::moped(3), p.clone()).plan();
             let r2 = RrtStar::new(&scenario, &loose, SimbrIndex::moped(3), p).plan();
             if r1.solved() {
@@ -217,8 +232,8 @@ fn fig6(opts: &Opts) {
                 let s =
                     Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(count), seed);
                 let p = params(opts, seed, false);
-                let r_naive = plan_variant(&s, Variant::V0Baseline, &p);
-                let r_two = plan_variant(&s, Variant::V1Tsps, &p);
+                let r_naive = plan_per_pose(&s, Variant::V0Baseline, &p);
+                let r_two = plan_per_pose(&s, Variant::V1Tsps, &p);
                 naive_macs += r_naive.stats.collision.total_ops().mac_equiv() as f64;
                 two_macs += r_two.stats.collision.total_ops().mac_equiv() as f64;
             }
@@ -253,8 +268,8 @@ fn fig8(opts: &Opts) {
         for &seed in &seeds {
             let s = Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(16), seed);
             let p = params(opts, seed, false);
-            let r2 = plan_variant(&s, Variant::V2Stns, &p);
-            let r3 = plan_variant(&s, Variant::V3Sias, &p);
+            let r2 = plan_per_pose(&s, Variant::V2Stns, &p);
+            let r3 = plan_per_pose(&s, Variant::V3Sias, &p);
             ns2 += r2.stats.ns_ops.mac_equiv() as f64;
             ns3 += r3.stats.ns_ops.mac_equiv() as f64;
             if r2.solved() && r3.solved() {
@@ -292,11 +307,11 @@ fn fig10(opts: &Opts) {
         for &seed in &seeds {
             let s = Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(16), seed);
             let p = params(opts, seed, false);
-            i3 += plan_variant(&s, Variant::V3Sias, &p)
+            i3 += plan_per_pose(&s, Variant::V3Sias, &p)
                 .stats
                 .insert_ops
                 .mac_equiv() as f64;
-            i4 += plan_variant(&s, Variant::V4Lci, &p)
+            i4 += plan_per_pose(&s, Variant::V4Lci, &p)
                 .stats
                 .insert_ops
                 .mac_equiv() as f64;
@@ -332,8 +347,8 @@ fn fig14(opts: &Opts) {
                 let s =
                     Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(count), seed);
                 let p = params(opts, seed, false);
-                let r0 = plan_variant(&s, Variant::V0Baseline, &p);
-                let r4 = plan_variant(&s, Variant::V4Lci, &p);
+                let r0 = plan_per_pose(&s, Variant::V0Baseline, &p);
+                let r4 = plan_per_pose(&s, Variant::V4Lci, &p);
                 b += r0.stats.total_ops().mac_equiv() as f64;
                 m += r4.stats.total_ops().mac_equiv() as f64;
                 if r0.solved() && r4.solved() {
@@ -386,8 +401,8 @@ fn fig15(opts: &Opts) {
                 let s =
                     Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(count), seed);
                 let p = params(opts, seed, true);
-                let base = plan_variant(&s, Variant::V0Baseline, &p);
-                let moped = plan_variant(&s, Variant::V4Lci, &p);
+                let base = plan_per_pose(&s, Variant::V0Baseline, &p);
+                let moped = plan_per_pose(&s, Variant::V4Lci, &p);
                 let m = perf::moped_report(&moped.stats, &design);
                 let cpu = perf::cpu_report(&base.stats);
                 let asic = perf::rrt_asic_report(&base.stats, &design);
@@ -447,7 +462,7 @@ fn fig16(opts: &Opts) {
             let s = Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(16), seed);
             let p = params(opts, seed, false);
             for (i, v) in Variant::ALL.iter().enumerate() {
-                totals[i] += plan_variant(&s, *v, &p).stats.total_ops().mac_equiv() as f64;
+                totals[i] += plan_per_pose(&s, *v, &p).stats.total_ops().mac_equiv() as f64;
             }
         }
         println!(
@@ -500,7 +515,7 @@ fn fig17(opts: &Opts) {
         for &seed in &seeds {
             let s = Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(count), seed);
             let p = params(opts, seed, true);
-            let moped = plan_variant(&s, Variant::V4Lci, &p);
+            let moped = plan_per_pose(&s, Variant::V4Lci, &p);
             let rounds = pipeline::rounds_from_trace(&moped.stats.rounds);
             let rep = pipeline::simulate(&rounds);
             serial += rep.serial_cycles as f64;
@@ -562,8 +577,16 @@ fn fig18(opts: &Opts) {
         for &seed in &seeds {
             let s = Scenario::generate(robot.clone(), &dense, seed);
             let p = params(opts, seed, false);
-            let exact = TwoStageChecker::new(s.obstacles.clone(), 4, SecondStage::ObbExact);
-            let loose = TwoStageChecker::new(s.obstacles.clone(), 4, SecondStage::AabbOnly);
+            let exact = PerPose(TwoStageChecker::new(
+                s.obstacles.clone(),
+                4,
+                SecondStage::ObbExact,
+            ));
+            let loose = PerPose(TwoStageChecker::new(
+                s.obstacles.clone(),
+                4,
+                SecondStage::AabbOnly,
+            ));
             let dim = s.robot.dof();
             let r1 = RrtStar::new(&s, &exact, SimbrIndex::moped(dim), p.clone()).plan();
             let r2 = RrtStar::new(&s, &loose, SimbrIndex::moped(dim), p).plan();
@@ -601,7 +624,11 @@ fn fig18(opts: &Opts) {
             let base =
                 RrtStar::new(&s, &base_checker, moped_core::LinearIndex::new(), p.clone()).plan();
             // MOPED with the same loose AABB second stage.
-            let moped_checker = TwoStageChecker::new(s.obstacles.clone(), 4, SecondStage::AabbOnly);
+            let moped_checker = PerPose(TwoStageChecker::new(
+                s.obstacles.clone(),
+                4,
+                SecondStage::AabbOnly,
+            ));
             let dim = s.robot.dof();
             let moped = RrtStar::new(&s, &moped_checker, SimbrIndex::moped(dim), p.clone()).plan();
             let rb = perf::rrt_asic_report(&base.stats, &design);
@@ -635,8 +662,8 @@ fn fig19(opts: &Opts) {
         samples: opts.samples.max(2000),
     };
     let p = params(&full, 1, true);
-    let base = plan_variant(&s, Variant::V0Baseline, &p);
-    let moped = plan_variant(&s, Variant::V4Lci, &p);
+    let base = plan_per_pose(&s, Variant::V0Baseline, &p);
+    let moped = plan_per_pose(&s, Variant::V4Lci, &p);
     let cum = |r: &PlanResult, upto: usize| -> f64 {
         r.stats.rounds[..upto.min(r.stats.rounds.len())]
             .iter()
@@ -668,7 +695,7 @@ fn fig19(opts: &Opts) {
         for &seed in &seeds {
             let s = Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(16), seed);
             let p = params(opts, seed, false);
-            let checker = TwoStageChecker::moped(s.obstacles.clone());
+            let checker = PerPose(TwoStageChecker::moped(s.obstacles.clone()));
             let dim = s.robot.dof();
             let r_kd = RrtStar::new(&s, &checker, KdIndex::new(dim), p.clone()).plan();
             let r_mbr = RrtStar::new(&s, &checker, SimbrIndex::moped(dim), p.clone()).plan();
@@ -699,7 +726,7 @@ fn pipeline_stats(opts: &Opts) {
         for &count in [8usize, 48].iter() {
             let s = Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(count), 83);
             let p = params(opts, 2, true);
-            let moped = plan_variant(&s, Variant::V4Lci, &p);
+            let moped = plan_per_pose(&s, Variant::V4Lci, &p);
             let rounds = pipeline::rounds_from_trace(&moped.stats.rounds);
             let rep = pipeline::simulate(&rounds);
             println!(
@@ -746,8 +773,8 @@ fn clearance(opts: &Opts) {
         for &seed in &seeds {
             let s = Scenario::generate(robot.clone(), &ScenarioParams::with_obstacles(16), seed);
             let p = params(opts, seed, false);
-            let r2 = plan_variant(&s, Variant::V2Stns, &p);
-            let r3 = plan_variant(&s, Variant::V3Sias, &p);
+            let r2 = plan_per_pose(&s, Variant::V2Stns, &p);
+            let r3 = plan_per_pose(&s, Variant::V3Sias, &p);
             if let (Some(p2), Some(p3)) = (&r2.path, &r3.path) {
                 let steps = InterpolationSteps::with_resolution(2.0);
                 if let (Some(c2), Some(c3)) = (measure(&s, p2, &steps), measure(&s, p3, &steps)) {
@@ -784,8 +811,8 @@ fn anytime(opts: &Opts) {
         seed: 5,
         ..PlannerParams::default()
     };
-    let base = plan_variant(&s, Variant::V0Baseline, &p);
-    let moped = plan_variant(&s, Variant::V4Lci, &p);
+    let base = plan_per_pose(&s, Variant::V0Baseline, &p);
+    let moped = plan_per_pose(&s, Variant::V4Lci, &p);
     let cost_at = |hist: &[(usize, f64)], sample: usize| -> f64 {
         hist.iter()
             .take_while(|(i, _)| *i <= sample)

@@ -16,16 +16,18 @@
 //!   ablation: survivors of the first stage are *declared* collisions
 //!   (loose, conservative), trading path quality for check cost.
 //!
+//! [`TwoStageChecker`] answers motion queries with a swept broad phase
+//! (one R-tree query per link per motion, same verdicts); [`PerPose`]
+//! runs any checker on the paper's per-pose schedule instead.
+//!
 //! All work is charged to a [`CollisionLedger`] so the Fig 6 / Fig 18
 //! comparisons come from counted operations.
 
 #![deny(missing_docs)]
 
-pub mod parallel;
-
 use std::fmt;
 
-use moped_geometry::{sat, Config, InterpolationSteps, Obb, OpCount};
+use moped_geometry::{sat, Aabb, Config, InterpolationSteps, Obb, OpCount};
 use moped_robot::Robot;
 use moped_rtree::{FilterStats, RTree};
 
@@ -97,13 +99,8 @@ pub trait CollisionChecker {
         // [`moped_geometry::interpolate`]) so the hot loop never allocates.
         let n = steps.count(from.distance(to));
         for i in 1..=n {
-            let pose = if i == n {
-                *to
-            } else {
-                from.lerp(to, i as f64 / n as f64)
-            };
             ledger.pose_queries += 1;
-            if !self.config_free(robot, &pose, ledger) {
+            if !self.config_free(robot, &pose_at(from, to, i, n), ledger) {
                 return false;
             }
         }
@@ -269,11 +266,17 @@ pub struct TwoStageChecker {
     scratch: std::cell::RefCell<TwoStageScratch>,
 }
 
+/// Reusable per-checker buffers, empty until the first query. The swept
+/// path keeps one box and one candidate list per link, never per pose.
 #[derive(Clone, Debug, Default)]
 struct TwoStageScratch {
     bodies: Vec<Obb>,
     stack: Vec<usize>,
     survivors: Vec<usize>,
+    /// Per-link swept boxes of the motion being checked.
+    swept: Vec<Aabb>,
+    /// Per-link swept-query candidates of the motion being checked.
+    candidates: Vec<Vec<usize>>,
 }
 
 impl TwoStageChecker {
@@ -359,12 +362,90 @@ impl TwoStageChecker {
     }
 }
 
+impl TwoStageChecker {
+    /// Stage 2 for one body against its first-stage `survivors`: `true`
+    /// if the body collides. Shared by the per-pose and swept schedules,
+    /// so both run the identical last-hit reorder and narrow kernel.
+    fn body_hits(&self, body: &Obb, survivors: &mut [usize], ledger: &mut CollisionLedger) -> bool {
+        if survivors.is_empty() {
+            return false;
+        }
+        if self.second == SecondStage::AabbOnly {
+            return true;
+        }
+        // Stage 2: exact check on the few survivors only.
+        match self.narrow {
+            NarrowMode::Batched => {
+                // Cost-free last-hit reuse: front-load the cached
+                // obstacle so a recurring collision resolves in the first
+                // SAT chunk. A swap never changes the any-hit verdict.
+                if self.cache_enabled() {
+                    if let Some(prev) = self.last_hit.get() {
+                        if let Some(pos) = survivors.iter().position(|&s| s == prev) {
+                            survivors.swap(0, pos);
+                        }
+                    }
+                }
+                let pre = sat::prepare(body);
+                for &oid in survivors.iter() {
+                    ledger.second_stage.mem_words += self.soa.get(oid).encoded_words();
+                }
+                let Some(oid) =
+                    sat::obb_obb_batch(&self.soa, survivors, &pre, &mut ledger.second_stage)
+                else {
+                    return false;
+                };
+                if self.cache_enabled() {
+                    match self.last_hit.get() {
+                        Some(prev) if prev == oid => {
+                            self.cache_hits.set(self.cache_hits.get() + 1);
+                            moped_obs::counters::bump(moped_obs::Counter::LeafCacheHit);
+                        }
+                        Some(_) => {
+                            self.cache_misses.set(self.cache_misses.get() + 1);
+                            moped_obs::counters::bump(moped_obs::Counter::LeafCacheMiss);
+                        }
+                        None => {}
+                    }
+                    self.last_hit.set(Some(oid));
+                }
+                true
+            }
+            NarrowMode::Reference => survivors.iter().any(|&oid| {
+                let obs = self.soa.get(oid);
+                ledger.second_stage.mem_words += obs.encoded_words();
+                sat::obb_obb(obs, body, &mut ledger.second_stage)
+            }),
+        }
+    }
+
+    /// Bookkeeping for a pose found free: a lingering cache entry failed
+    /// to recur. Retire it (and count the miss) so the stats reflect real
+    /// reuse.
+    fn pose_was_free(&self) {
+        if self.cache_enabled() && self.last_hit.take().is_some() {
+            self.cache_misses.set(self.cache_misses.get() + 1);
+            moped_obs::counters::bump(moped_obs::Counter::LeafCacheMiss);
+        }
+    }
+}
+
+/// Pose `i` of `n` on the straight motion `from → to`: the sequence of
+/// [`moped_geometry::interpolate`], generated in place, ending exactly
+/// at `to`.
+fn pose_at(from: &Config, to: &Config, i: usize, n: usize) -> Config {
+    if i == n {
+        *to
+    } else {
+        from.lerp(to, i as f64 / n as f64)
+    }
+}
+
 impl CollisionChecker for TwoStageChecker {
     fn config_free(&self, robot: &Robot, q: &Config, ledger: &mut CollisionLedger) -> bool {
         let _span = moped_obs::span(moped_obs::Stage::Collision);
         let scratch = &mut *self.scratch.borrow_mut();
         robot.body_obbs_into(q, &mut scratch.bodies);
-
         for body in &scratch.bodies {
             // Stage 1: hierarchical AABB filter (spanned as broad-phase
             // inside `RTree::filter_into`).
@@ -375,78 +456,108 @@ impl CollisionChecker for TwoStageChecker {
                 &mut scratch.stack,
                 &mut scratch.survivors,
             );
-            if scratch.survivors.is_empty() {
-                continue;
+            let _narrow = (!scratch.survivors.is_empty() && self.second == SecondStage::ObbExact)
+                .then(|| moped_obs::span(moped_obs::Stage::NarrowPhase));
+            if self.body_hits(body, &mut scratch.survivors, ledger) {
+                return false;
             }
-            match self.second {
-                SecondStage::AabbOnly => return false,
-                SecondStage::ObbExact => {
-                    // Stage 2: exact check on the few survivors only.
-                    let _narrow = moped_obs::span(moped_obs::Stage::NarrowPhase);
-                    match self.narrow {
-                        NarrowMode::Batched => {
-                            // Cost-free last-hit reuse: front-load the
-                            // cached obstacle so a recurring collision
-                            // resolves in the first SAT chunk. A swap
-                            // never changes the any-hit verdict.
-                            if self.cache_enabled() {
-                                if let Some(prev) = self.last_hit.get() {
-                                    if let Some(pos) =
-                                        scratch.survivors.iter().position(|&s| s == prev)
-                                    {
-                                        scratch.survivors.swap(0, pos);
-                                    }
-                                }
-                            }
-                            let pre = sat::prepare(body);
-                            for &oid in &scratch.survivors {
-                                ledger.second_stage.mem_words += self.soa.get(oid).encoded_words();
-                            }
-                            if let Some(oid) = sat::obb_obb_batch(
-                                &self.soa,
-                                &scratch.survivors,
-                                &pre,
-                                &mut ledger.second_stage,
-                            ) {
-                                if self.cache_enabled() {
-                                    match self.last_hit.get() {
-                                        Some(prev) if prev == oid => {
-                                            self.cache_hits.set(self.cache_hits.get() + 1);
-                                            moped_obs::counters::bump(
-                                                moped_obs::Counter::LeafCacheHit,
-                                            );
-                                        }
-                                        Some(_) => {
-                                            self.cache_misses.set(self.cache_misses.get() + 1);
-                                            moped_obs::counters::bump(
-                                                moped_obs::Counter::LeafCacheMiss,
-                                            );
-                                        }
-                                        None => {}
-                                    }
-                                    self.last_hit.set(Some(oid));
-                                }
-                                return false;
-                            }
-                        }
-                        NarrowMode::Reference => {
-                            for &oid in &scratch.survivors {
-                                let obs = self.soa.get(oid);
-                                ledger.second_stage.mem_words += obs.encoded_words();
-                                if sat::obb_obb(obs, body, &mut ledger.second_stage) {
-                                    return false;
-                                }
-                            }
-                        }
+        }
+        self.pose_was_free();
+        true
+    }
+
+    /// The swept broad phase: one R-tree query per link per motion.
+    ///
+    /// Pass 1 folds each link's [`sat::aabb_obb_reach`] box over every
+    /// pose of the motion into one swept box and queries the R-tree once
+    /// per link. An obstacle outside a link's swept box fails the
+    /// AABB–OBB SAT at every pose, so if no link has a candidate the
+    /// motion is free. Otherwise pass 2 re-runs FK pose by pose in order
+    /// and tests each link against its own candidates only, with the
+    /// unchanged first-stage SAT and narrow phase. Verdicts equal the
+    /// per-pose schedule's ([`PerPose`]); only the counted first-stage
+    /// work differs. `pose_queries` counts the poses the verdict covers,
+    /// as the per-pose schedule does. Spans are per motion: one
+    /// broad-phase span for pass 1 and one narrow-phase span for pass 2.
+    fn motion_free(
+        &self,
+        robot: &Robot,
+        from: &Config,
+        to: &Config,
+        steps: &InterpolationSteps,
+        ledger: &mut CollisionLedger,
+    ) -> bool {
+        let _span = moped_obs::span(moped_obs::Stage::Collision);
+        ledger.motion_queries += 1;
+        let n = steps.count(from.distance(to));
+        let TwoStageScratch {
+            bodies,
+            stack,
+            survivors,
+            swept,
+            candidates,
+        } = &mut *self.scratch.borrow_mut();
+
+        {
+            let _broad = moped_obs::span(moped_obs::Stage::BroadPhase);
+            swept.clear();
+            for i in 1..=n {
+                robot.body_obbs_into(&pose_at(from, to, i, n), bodies);
+                let ops = &mut ledger.first_stage;
+                if i == 1 {
+                    swept.extend(bodies.iter().map(|b| sat::aabb_obb_reach(b, ops)));
+                } else {
+                    for (acc, b) in swept.iter_mut().zip(bodies.iter()) {
+                        *acc = acc.union(&sat::aabb_obb_reach(b, ops));
+                        ops.cmp += 6;
                     }
                 }
             }
+            if candidates.len() < swept.len() {
+                candidates.resize_with(swept.len(), Vec::new);
+            }
+            for (query, out) in swept.iter().zip(candidates.iter_mut()) {
+                self.rtree.query_aabb_into(
+                    query,
+                    &mut ledger.first_stage,
+                    &mut ledger.filter,
+                    stack,
+                    out,
+                );
+            }
         }
-        // Free pose: a lingering cache entry failed to recur. Retire it
-        // (and count the miss) so the stats reflect real reuse.
-        if self.cache_enabled() && self.last_hit.take().is_some() {
-            self.cache_misses.set(self.cache_misses.get() + 1);
-            moped_obs::counters::bump(moped_obs::Counter::LeafCacheMiss);
+        let links = swept.len();
+        if candidates[..links].iter().all(Vec::is_empty) {
+            ledger.pose_queries += n as u64;
+            self.pose_was_free();
+            return true;
+        }
+
+        // Spanned once per motion: per-pose spans would cost more than
+        // the work they time.
+        let _narrow = moped_obs::span(moped_obs::Stage::NarrowPhase);
+        for i in 1..=n {
+            ledger.pose_queries += 1;
+            robot.body_obbs_into(&pose_at(from, to, i, n), bodies);
+            for (body, cands) in bodies.iter().zip(&candidates[..links]) {
+                if cands.is_empty() {
+                    continue;
+                }
+                let words = if body.is_planar() { 4 } else { 6 };
+                survivors.clear();
+                for &oid in cands {
+                    ledger.filter.leaf_checks += 1;
+                    ledger.first_stage.mem_words += words;
+                    if sat::aabb_obb(self.rtree.obstacle_aabb(oid), body, &mut ledger.first_stage) {
+                        ledger.filter.survivors += 1;
+                        survivors.push(oid);
+                    }
+                }
+                if self.body_hits(body, survivors, ledger) {
+                    return false;
+                }
+            }
+            self.pose_was_free();
         }
         true
     }
@@ -460,6 +571,61 @@ impl CollisionChecker for TwoStageChecker {
             SecondStage::ObbExact => "two-stage-obb",
             SecondStage::AabbOnly => "two-stage-aabb-only",
         }
+    }
+}
+
+/// The paper's per-pose schedule over any checker: every interpolated
+/// pose of a motion goes through `config_free` on its own (the trait's
+/// default `motion_free`), fail-fast in order.
+///
+/// [`TwoStageChecker`] answers motions with a swept broad phase whose
+/// verdicts are identical but whose counted first-stage work is far
+/// smaller. The hardware model and the paper figures derive their ratios
+/// from the per-pose counts of §III-A, so they wrap their checkers in
+/// `PerPose`; the schedule is chosen by type, never by a flag.
+#[derive(Clone, Debug)]
+pub struct PerPose<C>(pub C);
+
+impl<C: CollisionChecker> CollisionChecker for PerPose<C> {
+    fn config_free(&self, robot: &Robot, q: &Config, ledger: &mut CollisionLedger) -> bool {
+        // moped-lint: allow(no-recursion-in-hot-path) delegation to the wrapped checker, not a self-call
+        self.0.config_free(robot, q, ledger)
+    }
+
+    fn begin_plan(&self) {
+        self.0.begin_plan();
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+}
+
+/// A boxed checker checks exactly like the checker inside it.
+impl<C: CollisionChecker + ?Sized> CollisionChecker for Box<C> {
+    fn config_free(&self, robot: &Robot, q: &Config, ledger: &mut CollisionLedger) -> bool {
+        // moped-lint: allow(no-recursion-in-hot-path) delegation to the boxed checker, not a self-call
+        (**self).config_free(robot, q, ledger)
+    }
+
+    fn motion_free(
+        &self,
+        robot: &Robot,
+        from: &Config,
+        to: &Config,
+        steps: &InterpolationSteps,
+        ledger: &mut CollisionLedger,
+    ) -> bool {
+        // moped-lint: allow(no-recursion-in-hot-path) delegation to the boxed checker, not a self-call
+        (**self).motion_free(robot, from, to, steps, ledger)
+    }
+
+    fn begin_plan(&self) {
+        (**self).begin_plan();
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
     }
 }
 

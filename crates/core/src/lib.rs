@@ -43,4 +43,7 @@ mod variant;
 
 pub use index::{AnyIndex, KdIndex, LinearIndex, NeighborIndex, NnBackend, SimbrIndex};
 pub use planner::{Engine, PlanResult, PlanStats, PlannerParams, RoundTrace, RrtStar};
-pub use variant::{plan_variant, plan_variant_with_stop, variant_components, Variant};
+pub use variant::{
+    plan_variant, plan_variant_with, plan_variant_with_stop, variant_checker, variant_components,
+    Variant,
+};

@@ -65,12 +65,46 @@ pub fn variant_components(variant: Variant) -> (bool, bool, bool, bool) {
     }
 }
 
+/// The collision checker of a variant's stack: the all-pairs baseline
+/// for V0, the two-stage (TSPS) checker from V1 on.
+pub fn variant_checker(scenario: &Scenario, variant: Variant) -> Box<dyn CollisionChecker> {
+    let (two_stage, ..) = variant_components(variant);
+    if two_stage {
+        Box::new(TwoStageChecker::moped(scenario.obstacles.clone()))
+    } else {
+        Box::new(NaiveChecker::new(scenario.obstacles.clone()))
+    }
+}
+
 /// Plans `scenario` with the given variant's component stack.
 ///
 /// This is the entry point every evaluation figure drives: same scenario,
 /// same seed, same sampling budget — only the co-designed kernels vary.
+/// Motions are checked on the checker's own schedule (the swept broad
+/// phase for two-stage variants); see [`plan_variant_with`] for the
+/// paper's per-pose counts.
 pub fn plan_variant(scenario: &Scenario, variant: Variant, params: &PlannerParams) -> PlanResult {
-    plan_variant_impl(scenario, variant, params, None)
+    plan_variant_with(
+        scenario,
+        variant,
+        params,
+        variant_checker(scenario, variant).as_ref(),
+    )
+}
+
+/// [`plan_variant`] against a caller-supplied collision checker, which
+/// replaces the variant's own (the neighbor-index stack still follows
+/// `variant`). The hardware model and the paper figures pass
+/// `PerPose(variant_checker(..))` here to count collision work on the
+/// per-pose schedule the paper's ratios are derived from; verdicts, and
+/// hence paths, are the same either way.
+pub fn plan_variant_with(
+    scenario: &Scenario,
+    variant: Variant,
+    params: &PlannerParams,
+    checker: &dyn CollisionChecker,
+) -> PlanResult {
+    plan_variant_impl(scenario, variant, params, checker, None)
 }
 
 /// [`plan_variant`] with a cooperative stop hook polled every `every`
@@ -84,36 +118,34 @@ pub fn plan_variant_with_stop(
     every: usize,
     stop: &dyn Fn() -> bool,
 ) -> PlanResult {
-    plan_variant_impl(scenario, variant, params, Some((every, stop)))
+    let checker = variant_checker(scenario, variant);
+    plan_variant_impl(
+        scenario,
+        variant,
+        params,
+        checker.as_ref(),
+        Some((every, stop)),
+    )
 }
 
 fn plan_variant_impl(
     scenario: &Scenario,
     variant: Variant,
     params: &PlannerParams,
+    checker: &dyn CollisionChecker,
     stop: Option<(usize, &dyn Fn() -> bool)>,
 ) -> PlanResult {
-    let (two_stage, simbr, sias, lci) = variant_components(variant);
+    let (_, simbr, sias, lci) = variant_components(variant);
     let dim = scenario.robot.dof();
-    let checker: Box<dyn CollisionChecker> = if two_stage {
-        Box::new(TwoStageChecker::moped(scenario.obstacles.clone()))
-    } else {
-        Box::new(NaiveChecker::new(scenario.obstacles.clone()))
-    };
     if simbr {
         let index = SimbrIndex::new(dim, 6, sias, lci);
-        let mut planner = RrtStar::new(scenario, checker.as_ref(), index, params.clone());
+        let mut planner = RrtStar::new(scenario, checker, index, params.clone());
         match stop {
             Some((every, hook)) => planner.with_stop_hook(every, hook).plan(),
             None => planner.plan(),
         }
     } else {
-        let mut planner = RrtStar::new(
-            scenario,
-            checker.as_ref(),
-            LinearIndex::new(),
-            params.clone(),
-        );
+        let mut planner = RrtStar::new(scenario, checker, LinearIndex::new(), params.clone());
         match stop {
             Some((every, hook)) => planner.with_stop_hook(every, hook).plan(),
             None => planner.plan(),

@@ -311,6 +311,54 @@ fn aabb_obb_2d(a: &Aabb, b: &Obb, ops: &mut OpCount) -> bool {
     true
 }
 
+/// Absolute slack added to every side of [`aabb_obb_reach`]: it absorbs
+/// the rounding of the AABB's center/half-extent form inside
+/// [`aabb_obb`] (~1e-13 at workspace coordinates up to 1e3).
+const REACH_PAD: f64 = 1e-6;
+
+/// A world-aligned box that every AABB accepted by [`aabb_obb`] against
+/// `b` overlaps (inclusive).
+///
+/// [`aabb_obb`] can only accept an AABB whose world-axis tests pass:
+/// `|t_i| <= ha_i + rb_i` with `rb_i = Σ_j hb_j (|R_ij| + SAT_EPS)`. This
+/// returns `center ± (rb_i + REACH_PAD)` with `rb_i` computed by the same
+/// expression, so an AABB missing the box fails a world-axis test of the
+/// SAT. For a planar `b` the z extent is unbounded, because the 2D
+/// AABB–OBB test never looks at z. Charges the projection arithmetic to
+/// `ops` (no SAT query: nothing is tested).
+// Indexed loops mirror `aabb_obb`'s world-axis test term for term.
+#[allow(clippy::needless_range_loop)]
+pub fn aabb_obb_reach(b: &Obb, ops: &mut OpCount) -> Aabb {
+    let c = b.center();
+    let h = b.half_extents();
+    let mut r = [0.0; 3];
+    if b.is_planar() {
+        let bx = b.axis(0);
+        let by = b.axis(1);
+        let rot = [[bx.x, by.x], [bx.y, by.y]];
+        for i in 0..2 {
+            r[i] =
+                h.x * (rot[i][0].abs() + SAT_EPS) + h.y * (rot[i][1].abs() + SAT_EPS) + REACH_PAD;
+        }
+        r[2] = f64::INFINITY;
+        ops.mul += 4;
+        ops.add += 12;
+    } else {
+        let rot = b.rotation();
+        let hba = [h.x, h.y, h.z];
+        for i in 0..3 {
+            r[i] = hba[0] * (rot.m[i][0].abs() + SAT_EPS)
+                + hba[1] * (rot.m[i][1].abs() + SAT_EPS)
+                + hba[2] * (rot.m[i][2].abs() + SAT_EPS)
+                + REACH_PAD;
+        }
+        ops.mul += 9;
+        ops.add += 24;
+    }
+    let r = Vec3::new(r[0], r[1], r[2]);
+    Aabb::new(c - r, c + r)
+}
+
 /// Structure-of-arrays obstacle store for the batched narrow phase.
 ///
 /// Built once per environment: rotation *columns* (the SAT axes) are

@@ -211,4 +211,37 @@ proptest! {
         let mut ops = OpCount::default();
         prop_assert_eq!(sat::aabb_obb(&aabb, &o, &mut ops), sat::obb_obb(&as_obb, &o, &mut ops));
     }
+
+    /// The reach box is a superset of what the AABB–OBB SAT accepts: an
+    /// AABB missing it is always rejected. Boxes are placed so some just
+    /// graze the OBB's own world-axis extent, where the SAT epsilon
+    /// decides.
+    #[test]
+    fn aabb_obb_reach_contains_every_accepted_aabb(
+        o in arb_obb(),
+        dir in arb_vec3(1.0),
+        h in arb_half(),
+        gap in -1e-6..1e-6f64,
+        planar_theta in -3.2..3.2f64,
+    ) {
+        let planar = Obb::planar(o.center(), o.half_extents().x, o.half_extents().y, planar_theta);
+        for body in [o, planar] {
+            let mut ops = OpCount::default();
+            let reach = sat::aabb_obb_reach(&body, &mut ops);
+            let tight = body.aabb();
+            // Touch the tight AABB along `dir`, off by at most `gap`.
+            let offset = Vec3::new(
+                dir.x.signum() * (tight.half_extents().x + h.x + gap),
+                dir.y.signum() * (tight.half_extents().y + h.y + gap) * dir.y.abs(),
+                dir.z * (tight.half_extents().z + h.z),
+            );
+            let probe = Aabb::from_center_half(body.center() + offset, h);
+            if sat::aabb_obb(&probe, &body, &mut ops) {
+                prop_assert!(
+                    reach.intersects_aabb(&probe),
+                    "accepted {probe:?} lies outside reach {reach:?} of {body:?}"
+                );
+            }
+        }
+    }
 }

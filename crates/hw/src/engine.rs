@@ -6,7 +6,8 @@
 //! against all three §V-B baselines — returning a single report a
 //! downstream user (or the figures harness) can print.
 
-use moped_core::{plan_variant, PlannerParams, Variant};
+use moped_collision::PerPose;
+use moped_core::{plan_variant_with, variant_checker, PlanResult, PlannerParams, Variant};
 use moped_env::Scenario;
 
 use crate::cache::{self, CacheConfig};
@@ -38,6 +39,14 @@ pub struct EngineReport {
     pub algorithmic_saving: f64,
 }
 
+/// Plans `scenario` with `variant`'s stack, counting collision work on
+/// the paper's per-pose schedule ([`PerPose`]). Every hardware figure is
+/// priced from these counts; the path is the one `plan_variant` returns.
+pub fn plan_per_pose(scenario: &Scenario, variant: Variant, params: &PlannerParams) -> PlanResult {
+    let checker = PerPose(variant_checker(scenario, variant));
+    plan_variant_with(scenario, variant, params, &checker)
+}
+
 /// Runs the full evaluation of `scenario` at the given sampling budget.
 ///
 /// Uses `Variant::V0Baseline` for the CPU/ASIC/CODAcc baselines and
@@ -47,8 +56,8 @@ pub fn evaluate(scenario: &Scenario, params: &PlannerParams, design: &DesignPoin
         trace_rounds: true,
         ..params.clone()
     };
-    let base = plan_variant(scenario, Variant::V0Baseline, &traced);
-    let moped = plan_variant(scenario, Variant::V4Lci, &traced);
+    let base = plan_per_pose(scenario, Variant::V0Baseline, &traced);
+    let moped = plan_per_pose(scenario, Variant::V4Lci, &traced);
 
     let m = perf::moped_report(&moped.stats, design);
     let cpu = perf::cpu_report(&base.stats);

@@ -266,6 +266,56 @@ impl RTree {
         }
     }
 
+    /// Box query: fills `out` (cleared first) with the ids of obstacles
+    /// whose AABB relaxation overlaps `query`, inclusive, in the same
+    /// depth-first order as [`RTree::filter_into`].
+    ///
+    /// This is the swept broad phase's one query per robot link per
+    /// motion: `query` bounds the link over every pose of the motion, so
+    /// the result is a superset of every per-pose filter's survivors for
+    /// that link. Each node or obstacle test is an AABB–AABB overlap,
+    /// charged as one comparison per interval end (4 for a query
+    /// unbounded in z, the planar case; 6 otherwise) plus the box read.
+    /// Node and leaf tests count in `stats`; `stats.survivors` is left to
+    /// the per-pose tests that follow.
+    pub fn query_aabb_into(
+        &self,
+        query: &Aabb,
+        ops: &mut OpCount,
+        stats: &mut FilterStats,
+        stack: &mut Vec<usize>,
+        out: &mut Vec<usize>,
+    ) {
+        out.clear();
+        stack.clear();
+        let Some(root) = self.root else { return };
+        let words = if query.min().z.is_finite() { 6 } else { 4 };
+        stack.push(root);
+        while let Some(ni) = stack.pop() {
+            let node = &self.nodes[ni];
+            stats.node_checks += 1;
+            ops.mem_words += words;
+            ops.cmp += words;
+            if !node.aabb.intersects_aabb(query) {
+                stats.pruned_subtrees += 1;
+                continue;
+            }
+            match &node.children {
+                Children::Inner(kids) => stack.extend_from_slice(kids),
+                Children::Leaves(obstacles) => {
+                    for &oid in obstacles {
+                        stats.leaf_checks += 1;
+                        ops.mem_words += words;
+                        ops.cmp += words;
+                        if self.obstacle_aabbs[oid].intersects_aabb(query) {
+                            out.push(oid);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// On-chip storage footprint of the tree in 16-bit words (every node
     /// AABB is 6 words plus one child pointer word per child), used by the
     /// hardware model for SRAM sizing.
@@ -393,6 +443,47 @@ mod tests {
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn box_query_matches_linear_overlap_and_covers_filters() {
+        let obstacles = grid_obstacles(4, 7.0);
+        let tree = RTree::build(&obstacles, 4);
+        let (mut stack, mut got) = (Vec::new(), Vec::new());
+        for (lo, hi) in [
+            (Vec3::splat(-1.0), Vec3::splat(1.0)),
+            (Vec3::new(2.0, 5.0, -3.0), Vec3::new(12.0, 9.0, 30.0)),
+            (Vec3::splat(30.0), Vec3::splat(40.0)),
+            // Unbounded in z, as planar links query.
+            (
+                Vec3::new(6.0, 6.0, f64::NEG_INFINITY),
+                Vec3::new(8.0, 8.0, f64::INFINITY),
+            ),
+        ] {
+            let query = Aabb::new(lo, hi);
+            let mut ops = OpCount::default();
+            let mut stats = FilterStats::default();
+            tree.query_aabb_into(&query, &mut ops, &mut stats, &mut stack, &mut got);
+            let want: Vec<usize> = (0..obstacles.len())
+                .filter(|&i| tree.obstacle_aabb(i).intersects_aabb(&query))
+                .collect();
+            let mut sorted = got.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, want);
+            assert_eq!(stats.survivors, 0, "candidates are not survivors");
+            assert_eq!(ops.sat_queries, 0);
+            // Any body inside the query box filters to a subset.
+            let body = Obb::from_euler(
+                (lo.max(Vec3::splat(-50.0)) + hi.min(Vec3::splat(50.0))) * 0.5,
+                Vec3::splat(0.5),
+                0.3,
+                0.2,
+                0.1,
+            );
+            for oid in tree.filter(&body, &mut ops) {
+                assert!(got.contains(&oid), "survivor {oid} missing from box query");
+            }
         }
     }
 

@@ -435,3 +435,54 @@ fn idle_pool_reports_near_zero_queue_wait() {
         queue_wait.quantile(0.99)
     );
 }
+
+/// A swap must reach the workers' cached checkers: after `swap_env`
+/// installs a different scene, a request on that slot plans against the
+/// new obstacles, exactly like a serial `plan_variant` on the new
+/// scenario. One worker serves both requests, so the second one would
+/// find the first one's checker in its cache.
+#[test]
+fn swapped_environment_replaces_the_cached_checker() {
+    let catalog = EnvironmentCatalog::standard(&Robot::mobile_2d());
+    let env = catalog.find("open-meadow").unwrap();
+    let other = catalog.find("slalom-corridor").unwrap();
+    let replacement = catalog.get(other).unwrap().scenario.clone();
+    let params = PlannerParams {
+        max_samples: 300,
+        seed: 5,
+        ..Default::default()
+    };
+    let reference = plan_variant(&replacement, Variant::V4Lci, &params);
+
+    let service = PlanService::start(
+        catalog,
+        ServiceConfig {
+            workers: 1,
+            queue_capacity: 4,
+            ..Default::default()
+        },
+    );
+    let warm = service
+        .submit(PlanRequest::new(env, params.clone()))
+        .unwrap()
+        .wait();
+    assert!(warm.response().is_some(), "warm-up request served");
+    assert_eq!(service.swap_env(env, replacement), Ok(1));
+    let outcome = service
+        .submit(PlanRequest::new(env, params.clone()))
+        .unwrap()
+        .wait();
+    service.shutdown();
+
+    let resp = outcome.response().expect("served");
+    assert_eq!(resp.epoch, 1);
+    assert_eq!(resp.result.path, reference.path);
+    assert_eq!(
+        resp.result.path_cost.to_bits(),
+        reference.path_cost.to_bits()
+    );
+    assert_eq!(
+        resp.result.stats.collision.total_ops().mac_equiv(),
+        reference.stats.collision.total_ops().mac_equiv()
+    );
+}

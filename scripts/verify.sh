@@ -17,6 +17,11 @@ cargo test -q
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 
+echo "== cargo test -q --offline --manifest-path perfbench/Cargo.toml =="
+# The benchmark package is its own workspace; its test pins the bench's
+# planner set-up to `plan_variant(.., Variant::V4Lci, ..)`.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== moped-lint --deny warnings (budget: ${LINT_BUDGET_S:=10}s) =="
 # The lint gate must stay cheap enough to run on every PR: fail the
 # verify run outright if the workspace sweep (token rules + structural

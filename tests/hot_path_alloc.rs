@@ -54,14 +54,14 @@ fn drone_scenario() -> Scenario {
     Scenario::generate(Robot::drone_3d(), &ScenarioParams::with_obstacles(32), 7)
 }
 
-fn drone_queries(s: &Scenario, n: usize) -> Vec<Config> {
+fn seeded_configs(s: &Scenario, n: usize) -> Vec<Config> {
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     (0..n)
         .map(|_| {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let unit: Vec<f64> = (0..6)
+            let unit: Vec<f64> = (0..s.robot.dof())
                 .map(|i| ((state >> (i * 10)) & 0x3FF) as f64 / 1023.0)
                 .collect();
             s.robot.config_from_unit(&unit)
@@ -74,11 +74,11 @@ fn nearest_query_allocates_nothing_after_warmup() {
     let s = drone_scenario();
     let mut tree = SiMbrTree::new(6, 6);
     let mut ops = OpCount::default();
-    let points = drone_queries(&s, 800);
+    let points = seeded_configs(&s, 800);
     for (i, p) in points.iter().enumerate() {
         tree.insert_conventional(i as u64, *p, &mut ops);
     }
-    let queries = drone_queries(&s, 64);
+    let queries = seeded_configs(&s, 64);
     let mut stats = SearchStats::default();
 
     // Warm-up: sizes the reusable frontier and the depth histogram.
@@ -102,7 +102,7 @@ fn index_nearest_with_warm_hint_allocates_nothing() {
     // Through the planner-facing index: persistent stats accumulator plus
     // the search-trace warm-start cell, still zero allocations.
     let s = drone_scenario();
-    let points = drone_queries(&s, 600);
+    let points = seeded_configs(&s, 600);
     let mut index = SimbrIndex::moped(6);
     let mut ops = OpCount::default();
     for (i, p) in points.iter().enumerate() {
@@ -113,7 +113,7 @@ fn index_nearest_with_warm_hint_allocates_nothing() {
         };
         index.insert(i as u64, *p, hint, &mut ops);
     }
-    let queries = drone_queries(&s, 64);
+    let queries = seeded_configs(&s, 64);
     for q in &queries {
         let _ = index.nearest(q, &mut ops);
     }
@@ -131,25 +131,39 @@ fn index_nearest_with_warm_hint_allocates_nothing() {
 
 #[test]
 fn motion_check_allocates_nothing_after_warmup() {
-    let s = drone_scenario();
-    let checker = TwoStageChecker::moped(s.obstacles.clone());
-    let steps = InterpolationSteps::default();
-    let mut ledger = CollisionLedger::default();
-    let endpoints = drone_queries(&s, 32);
+    // The 1-body drone, and the 7-link xArm7 whose per-link swept boxes
+    // and candidate lists are the multi-link scratch.
+    let arm = Scenario::generate(Robot::xarm7(), &ScenarioParams::with_obstacles(32), 7);
+    for (s, steps) in [
+        (drone_scenario(), InterpolationSteps::default()),
+        (arm, InterpolationSteps::with_resolution(0.05)),
+    ] {
+        let checker = TwoStageChecker::moped(s.obstacles.clone());
+        let mut ledger = CollisionLedger::default();
+        let endpoints = seeded_configs(&s, 32);
 
-    // Warm-up: sizes the body/stack/survivor scratch buffers.
-    for pair in endpoints.windows(2) {
-        let _ = checker.motion_free(&s.robot, &pair[0], &pair[1], &steps, &mut ledger);
-    }
-    let allocs = allocations_during(|| {
+        // Warm-up: sizes the body/stack/survivor/swept/candidate scratch.
         for pair in endpoints.windows(2) {
             let _ = checker.motion_free(&s.robot, &pair[0], &pair[1], &steps, &mut ledger);
         }
-    });
-    assert_eq!(
-        allocs, 0,
-        "warm motion checks must not touch the heap ({allocs} allocations over 31 motions)"
-    );
+        let before = ledger.clone();
+        let allocs = allocations_during(|| {
+            for pair in endpoints.windows(2) {
+                let _ = checker.motion_free(&s.robot, &pair[0], &pair[1], &steps, &mut ledger);
+            }
+        });
+        assert_eq!(
+            allocs,
+            0,
+            "{}: warm motion checks must not touch the heap ({allocs} allocations over 31 motions)",
+            s.robot.name()
+        );
+        assert!(
+            ledger.filter.survivors > before.filter.survivors,
+            "{}: the timed motions must reach the per-pose tests",
+            s.robot.name()
+        );
+    }
 }
 
 #[test]
@@ -159,7 +173,7 @@ fn config_check_allocates_nothing_through_cache_transitions() {
     let s = drone_scenario();
     let checker = TwoStageChecker::moped(s.obstacles.clone());
     let mut ledger = CollisionLedger::default();
-    let poses = drone_queries(&s, 128);
+    let poses = seeded_configs(&s, 128);
     for q in &poses {
         let _ = checker.config_free(&s.robot, q, &mut ledger);
     }

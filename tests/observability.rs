@@ -1,7 +1,8 @@
 //! Observability contract tests through the facade: the disabled tracing
 //! path allocates nothing and costs a negligible fraction of a planning
-//! run, the event journal replays bit-identically, and the Chrome-trace
-//! exporter emits well-formed JSON from a real run.
+//! run, spans stay at motion granularity, the event journal replays
+//! bit-identically, and the Chrome-trace exporter emits well-formed JSON
+//! from a real run.
 //!
 //! The obs recorder is process-global, so every test here serializes on
 //! one mutex and restores the disabled/logical defaults on exit.
@@ -145,6 +146,45 @@ fn disabled_tracing_costs_under_two_percent_of_a_plan() {
             per_span * 1e9,
             overhead * 1e3,
             plan_time * 1e3,
+        );
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Span volume
+// ---------------------------------------------------------------------------
+
+/// Span events the per-pose collision schedule opened on the observe
+/// scene below (400 rounds): 40 240, i.e. 100.6 per round, almost all of
+/// them per-pose `Collision`/`BroadPhase` and per-survivor `NarrowPhase`
+/// spans. Span counts do not depend on timing, so this is exact.
+const PER_POSE_SCHEDULE_EVENTS: u64 = 40_240;
+
+#[test]
+fn swept_collision_spans_stay_at_motion_granularity() {
+    with_obs_lock(|| {
+        // `examples/observe.rs`'s planar scene and fine discretization,
+        // at 400 samples.
+        let scenario =
+            Scenario::generate(Robot::mobile_2d(), &ScenarioParams::with_obstacles(48), 42);
+        let params = PlannerParams {
+            max_samples: 400,
+            interpolation: Some(moped::geometry::InterpolationSteps::with_resolution(0.25)),
+            ..PlannerParams::default()
+        };
+        let checker = TwoStageChecker::moped(scenario.obstacles.clone());
+        obs::set_enabled(true);
+        let _ = RrtStar::new(&scenario, &checker, SimbrIndex::moped(3), params).plan();
+        obs::set_enabled(false);
+        let profile = obs::snapshot();
+        let events: u64 = profile.stages.iter().map(|s| s.count).sum();
+        let rounds = profile.stage(obs::Stage::Round).map_or(0, |s| s.count);
+        assert_eq!(rounds, 400);
+        assert!(
+            5 * events <= PER_POSE_SCHEDULE_EVENTS,
+            "{events} span events over {rounds} rounds ({:.1}/round): more than a fifth of \
+             the per-pose schedule's {PER_POSE_SCHEDULE_EVENTS}",
+            events as f64 / rounds as f64
         );
     });
 }
